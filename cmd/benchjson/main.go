@@ -203,7 +203,7 @@ func Parse(in io.Reader) ([]Bench, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		// Layout: Name  N  ns/op-value ns/op  [B/op-value B/op]  [allocs-value allocs/op]
+		// Layout: Name  N  ns/op-value ns/op  [custom metrics]  [B/op-value B/op]  [allocs-value allocs/op]
 		if len(fields) < 4 || fields[3] != "ns/op" {
 			continue
 		}
@@ -214,14 +214,19 @@ func Parse(in io.Reader) ([]Bench, error) {
 		}
 		b.NsPerOp = ns
 		for i := 4; i+1 < len(fields); i += 2 {
+			// Custom b.ReportMetric units are not recorded, and their
+			// values may be fractional.
+			unit := fields[i+1]
+			if unit != "B/op" && unit != "allocs/op" {
+				continue
+			}
 			v, err := strconv.ParseInt(fields[i], 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("line %q: %s: %w", line, fields[i+1], err)
+				return nil, fmt.Errorf("line %q: %s: %w", line, unit, err)
 			}
-			switch fields[i+1] {
-			case "B/op":
+			if unit == "B/op" {
 				b.BytesPerOp = v
-			case "allocs/op":
+			} else {
 				b.AllocsPerOp = v
 			}
 		}

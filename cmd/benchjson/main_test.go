@@ -73,6 +73,19 @@ func TestParseMalformedNumber(t *testing.T) {
 	}
 }
 
+// TestParseSkipsCustomMetrics pins that b.ReportMetric columns, which sit
+// between ns/op and B/op and may be fractional, neither fail the parse nor
+// shift the memory fields.
+func TestParseSkipsCustomMetrics(t *testing.T) {
+	benches, err := Parse(strings.NewReader("BenchmarkX-4  10  5000 ns/op  512.5 rows_copied/op  96 B/op  3 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(benches) != 1 || benches[0].NsPerOp != 5000 || benches[0].BytesPerOp != 96 || benches[0].AllocsPerOp != 3 {
+		t.Fatalf("parsed %+v, want {5000 96 3}", benches)
+	}
+}
+
 func TestParseEmptyInput(t *testing.T) {
 	benches, err := Parse(strings.NewReader("PASS\nok x 1s\n"))
 	if err != nil {

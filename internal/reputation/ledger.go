@@ -63,6 +63,17 @@ type Ledger struct {
 	dirty     []bool
 	dirtyList []int32
 	rowGen    []uint64
+
+	// CloneInto replica bookkeeping. mirror is the source of this
+	// ledger's last fill, mirrorFills that source's fill count at the
+	// time and mirrorGens the sum of rowGen right after it. fills counts
+	// the fills of this ledger itself: each one replaces its rows and
+	// generations wholesale, so its replicas from before cannot be
+	// refreshed by generation.
+	mirror      *Ledger
+	mirrorFills uint64
+	mirrorGens  uint64
+	fills       uint64
 }
 
 // NewLedger creates an empty ledger for n nodes. It panics if n <= 0.
@@ -248,7 +259,8 @@ func (l *Ledger) ClearDirty() {
 // window in which every row-derived statistic — pair counts, receive
 // totals, the summation score — was unchanged, which is what lets the
 // incremental detectors replay memoized pair screens across in-place
-// ledger mutations instead of keying on ledger identity.
+// ledger mutations instead of keying on ledger identity, and CloneInto
+// refresh a replica by re-copying only the rows whose generation moved.
 func (l *Ledger) RowGen(target int) uint64 { return l.rowGen[target] }
 
 func (l *Ledger) markDirty(target int) {
@@ -372,57 +384,107 @@ func (l *Ledger) LocalTrust(rater, target int) int {
 func (l *Ledger) Clone() *Ledger {
 	c := NewLedger(l.n)
 	l.CloneInto(c)
+	c.mirror = nil // a clone does not keep l alive; refilling it from l copies in full
 	return c
 }
 
 // CloneInto freezes l's current contents into dst, which must cover the
-// same population. dst's previous contents are discarded: every existing
-// row span returns to dst's arena free lists before the copy, so repeated
-// CloneInto calls into the same destination recycle the same chunks and
-// allocate only while dst's arena is still growing toward l's footprint —
-// the steady state is allocation-free. This is the snapshot freeze path of
-// the resident service (internal/service): the single writer clones the
-// period ledger into a recycled snapshot ledger each epoch, and concurrent
-// readers of previously published clones are safe because, like Clone, the
-// destination shares no storage with l.
+// same population, and returns how many rows it re-copied. This is the
+// snapshot freeze path of the resident service (internal/service): the
+// single writer refreshes a recycled snapshot ledger from the period
+// ledger each epoch, and concurrent readers of previously published
+// clones are safe because, like Clone, the destination shares no storage
+// with l.
 //
-// dst's dirty set, dirty list and row generations are overwritten with
-// copies of l's, exactly as Clone produces. It panics if the populations
-// differ: recycling a snapshot across population changes is a programming
-// error.
-func (l *Ledger) CloneInto(dst *Ledger) {
+// A recycled destination is usually a replica of l from a few calls ago,
+// so CloneInto refreshes it by row generation: only rows whose RowGen
+// differs from dst's copy are re-copied, together with their receive
+// totals. Every row mutation bumps the row's generation and generations
+// never go back, so an equal generation means an equal row. The
+// outgoing totals are copied whole, and the dirty set is brought in step
+// through the two dirty lists. Refreshing a replica a few small batches
+// behind therefore costs O(n) generation compares plus the changed rows,
+// not an O(n + nnz) copy. l is only read, as by any other accessor.
+//
+// Every row counts as stale — a full copy — when dst is fresh, when it
+// was last filled from a different ledger, when l itself has been
+// overwritten by a CloneInto since, or when dst was mutated after its
+// last fill (each mutation raises the sum of its generations, which the
+// fill recorded). A re-copied row lands in the smallest span class that
+// holds it, recycling dst's arena through its free lists, so the steady
+// state is allocation-free.
+//
+// dst's dirty set, dirty list and row generations end up equal to l's,
+// exactly as Clone produces. It panics if the populations differ:
+// recycling a snapshot across population changes is a programming error.
+func (l *Ledger) CloneInto(dst *Ledger) int {
 	if dst.n != l.n {
 		panic(fmt.Sprintf("reputation: CloneInto ledger of size %d from size %d", dst.n, l.n))
 	}
-	for t := range dst.rows {
-		r := &dst.rows[t]
-		if r.class == 0 {
-			continue
+	stale := dst.mirror != l || dst.mirrorFills != l.fills || sumGens(dst.rowGen) != dst.mirrorGens
+	copied := 0
+	var gens uint64
+	dstGen := dst.rowGen[:len(l.rowGen)]
+	for t, g := range l.rowGen {
+		gens += g
+		if stale || dstGen[t] != g {
+			dst.refreshRow(l, t)
+			copied++
 		}
-		dst.ar.freeSpan(r.blk, r.off, r.class)
-		*r = rowRef{}
 	}
-	for t := 0; t < l.n; t++ {
-		rs, tot, pos, neg := l.row(t)
-		if len(rs) == 0 {
-			continue
+	copy(dst.sentTotal, l.sentTotal)
+	for _, t := range dst.dirtyList {
+		dst.dirty[t] = false
+	}
+	for _, t := range l.dirtyList {
+		dst.dirty[t] = true
+	}
+	dst.dirtyList = append(dst.dirtyList[:0], l.dirtyList...)
+	dst.fills++
+	dst.mirror, dst.mirrorFills, dst.mirrorGens = l, l.fills, gens
+	return copied
+}
+
+// refreshRow makes row t, its receive totals and its generation a copy of
+// src's. The row moves to the smallest span class holding src's row only
+// when its current class differs.
+func (l *Ledger) refreshRow(src *Ledger, t int) {
+	rs, tot, pos, neg := src.row(t)
+	var class int8
+	if len(rs) > 0 {
+		class = classFor(len(rs))
+	}
+	r := &l.rows[t]
+	if r.class != class {
+		if r.class != 0 {
+			l.ar.freeSpan(r.blk, r.off, r.class)
 		}
-		class := classFor(len(rs))
-		blk, off := dst.ar.alloc(class)
-		dst.rows[t] = rowRef{blk: blk, off: off, n: int32(len(rs)), class: class}
-		dr, dt, dp, dn := dst.ar.spanViews(dst.rows[t], int32(len(rs)))
+		*r = rowRef{}
+		if class != 0 {
+			r.blk, r.off = l.ar.alloc(class)
+			r.class = class
+		}
+	}
+	r.n = int32(len(rs))
+	if r.n > 0 {
+		dr, dt, dp, dn := l.ar.spanViews(*r, r.n)
 		copy(dr, rs)
 		copy(dt, tot)
 		copy(dp, pos)
 		copy(dn, neg)
 	}
-	copy(dst.recvTotal, l.recvTotal)
-	copy(dst.recvPos, l.recvPos)
-	copy(dst.recvNeg, l.recvNeg)
-	copy(dst.sentTotal, l.sentTotal)
-	copy(dst.dirty, l.dirty)
-	dst.dirtyList = append(dst.dirtyList[:0], l.dirtyList...)
-	copy(dst.rowGen, l.rowGen)
+	l.recvTotal[t] = src.recvTotal[t]
+	l.recvPos[t] = src.recvPos[t]
+	l.recvNeg[t] = src.recvNeg[t]
+	l.rowGen[t] = src.rowGen[t]
+}
+
+func sumGens(gens []uint64) uint64 {
+	var s uint64
+	for _, g := range gens {
+		s += g
+	}
+	return s
 }
 
 // Merge adds every count of other into l. Both ledgers must cover the same

@@ -4,7 +4,9 @@
 // through the service codec, executes against an Acquire-pinned snapshot
 // (or Apply, for ingest), and responds with the codec's deterministic
 // JSON line, so an HTTP response body is byte-identical to the same
-// operation's line in a request-log replay.
+// operation's line in a request-log replay. Queries encode their reply
+// under the pin and release it before writing: a client that reads its
+// reply slowly must not hold a snapshot out of the store's recycle pool.
 //
 // Like internal/obs/serve (which mounts this handler at /v1/), the
 // package is wall-clock-exempt under the colsimlint determinism analyzer:
@@ -110,8 +112,9 @@ func (a *API) reputation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sn := a.store.Acquire()
-	defer sn.Release()
-	writeLine(w, service.AppendReputation(nil, sn, node))
+	line := service.AppendReputation(nil, sn, node)
+	sn.Release()
+	writeLine(w, line)
 }
 
 func (a *API) suspicion(w http.ResponseWriter, r *http.Request) {
@@ -120,20 +123,23 @@ func (a *API) suspicion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sn := a.store.Acquire()
-	defer sn.Release()
-	writeLine(w, service.AppendSuspicion(nil, sn, a.store.Thresholds(), node))
+	line := service.AppendSuspicion(nil, sn, a.store.Thresholds(), node)
+	sn.Release()
+	writeLine(w, line)
 }
 
 func (a *API) flagged(w http.ResponseWriter, r *http.Request) {
 	sn := a.store.Acquire()
-	defer sn.Release()
-	writeLine(w, service.AppendFlaggedSnapshot(nil, sn))
+	line := service.AppendFlaggedSnapshot(nil, sn)
+	sn.Release()
+	writeLine(w, line)
 }
 
 func (a *API) epoch(w http.ResponseWriter, r *http.Request) {
 	sn := a.store.Acquire()
-	defer sn.Release()
-	writeLine(w, service.AppendEpoch(nil, sn))
+	line := service.AppendEpoch(nil, sn)
+	sn.Release()
+	writeLine(w, line)
 }
 
 func writeLine(w http.ResponseWriter, line []byte) {

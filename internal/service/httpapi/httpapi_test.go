@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/p2psim/collusion/internal/core"
+	"github.com/p2psim/collusion/internal/ingest"
 	"github.com/p2psim/collusion/internal/obs"
 	"github.com/p2psim/collusion/internal/reputation"
 	"github.com/p2psim/collusion/internal/service"
@@ -122,5 +123,62 @@ func TestRejectedIngestAdvancesNoEpoch(t *testing.T) {
 	defer sn.Release()
 	if sn.Epoch() != 0 {
 		t.Fatalf("rejected ingest advanced epoch to %d", sn.Epoch())
+	}
+}
+
+// stallingWriter blocks inside Write until resume is closed, like a
+// client that is slow to read its reply.
+type stallingWriter struct {
+	*httptest.ResponseRecorder
+	entered, resume chan struct{}
+}
+
+func (w *stallingWriter) Write(b []byte) (int, error) {
+	close(w.entered)
+	<-w.resume
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestQueryReleasesPinBeforeWrite pins that a query handler has released
+// its snapshot by the time it writes the reply. While the handler is
+// stalled in Write, the next publish drops the store's own reference to
+// the snapshot the handler read, and that snapshot must reach the
+// recycle pool at once instead of waiting for the client.
+func TestQueryReleasesPinBeforeWrite(t *testing.T) {
+	for _, path := range []string{"/v1/epoch", "/v1/reputation/3", "/v1/suspicion/3", "/v1/flagged"} {
+		t.Run(path, func(t *testing.T) {
+			reg := obs.NewRegistry(nil)
+			st, err := service.New(service.Config{
+				Nodes:    8,
+				Engine:   reputation.Summation{},
+				Detector: core.NewOptimized(core.DefaultThresholds()),
+				Obs:      reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(st.Close)
+			a := New(st, nil)
+			w := &stallingWriter{httptest.NewRecorder(), make(chan struct{}), make(chan struct{})}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				a.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			}()
+			<-w.entered
+			_, err = st.Apply([]ingest.Rating{{Rater: 0, Target: 1, Polarity: 1}})
+			recycled := reg.Counter("service.snapshots_recycled").Value()
+			close(w.resume)
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recycled != 1 {
+				t.Fatalf("%d snapshots recycled while the reply was stalled, want 1: the handler still pinned the epoch-0 snapshot", recycled)
+			}
+			if body := w.Body.String(); !strings.Contains(body, `"epoch":0`) {
+				t.Fatalf("stalled reply %q is not the epoch-0 answer", body)
+			}
+		})
 	}
 }

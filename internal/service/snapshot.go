@@ -19,8 +19,12 @@ import (
 // snapshot whose last reference drops is recycled — its ledger arena, its
 // slices — into the writer's next publication, which is what keeps the
 // steady-state publish path allocation-bounded no matter how many epochs
-// the service lives through. All accessor methods are safe for concurrent
-// use by any number of pinned readers; none of them mutate.
+// the service lives through. A recycled snapshot stays a full replica:
+// the refill re-copies only the ledger rows whose generation moved since
+// it was last filled (see reputation.Ledger.CloneInto) and replays only
+// the flags raised since, so publishing costs what changed, however many
+// epochs the snapshot sat in the pool. All accessor methods are safe for
+// concurrent use by any number of pinned readers; none of them mutate.
 type Snapshot struct {
 	epoch   int64
 	ratings int64
@@ -29,6 +33,10 @@ type Snapshot struct {
 	flagged []bool
 	first   []int64
 	pairs   []core.Evidence
+
+	// flagsApplied is how much of the store's flag order flagged and
+	// first already reflect.
+	flagsApplied int
 
 	// refs is the pin count: the store's own reference (held from publish
 	// until the next publish) plus one per outstanding Acquire. It is 0

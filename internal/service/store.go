@@ -106,8 +106,13 @@ type Store struct {
 	scores   []float64
 	flagged  []bool
 	first    []int64
-	pairSet  map[[2]int]struct{}
-	pairs    []core.Evidence
+	// flagOrder lists flagged nodes in the order they were first flagged.
+	// Flags are never cleared, so it is append-only, and a recycled
+	// snapshot catches up on flags by replaying it from the position its
+	// last fill stopped at.
+	flagOrder []int32
+	pairSet   map[[2]int]struct{}
+	pairs     []core.Evidence
 
 	// Snapshot plane: the current publication and the recycle pool.
 	cur  atomic.Pointer[Snapshot]
@@ -118,6 +123,7 @@ type Store struct {
 	done chan struct{}
 
 	mBatches, mRatings, mRecycled *obs.Counter
+	mRowsCopied, mFlagsApplied    *obs.Counter
 	gEpoch                        *obs.Gauge
 }
 
@@ -179,6 +185,9 @@ func New(cfg Config) (*Store, error) {
 		mRatings:  cfg.Obs.Counter("service.ratings_total"),
 		mRecycled: cfg.Obs.Counter("service.snapshots_recycled"),
 		gEpoch:    cfg.Obs.Gauge("service.epoch"),
+
+		mRowsCopied:   cfg.Obs.Counter("service.publish_rows_copied"),
+		mFlagsApplied: cfg.Obs.Counter("service.publish_flags_applied"),
 	}
 	if cfg.WindowCycles > 0 {
 		s.win = ingest.NewWindowLedger(cfg.Nodes, cfg.WindowCycles)
@@ -422,6 +431,7 @@ func (s *Store) flag(node int) {
 	if !s.flagged[node] {
 		s.flagged[node] = true
 		s.first[node] = s.epoch
+		s.flagOrder = append(s.flagOrder, int32(node))
 	}
 	s.scores[node] = 0
 }
@@ -442,22 +452,32 @@ func (s *Store) observePairFrequencies() {
 }
 
 // publish freezes the writer state into a snapshot (recycled when one is
-// available) and swaps it in as the current publication. The recycled
-// snapshot's refcount is 0 throughout the refill — no reader can pin it —
-// and is set to 1 (the store's own reference) before the swap; the
-// displaced snapshot's store reference is released, so it recycles as
-// soon as its last reader lets go.
+// available) and swaps it in as the current publication. A recycled
+// snapshot is brought up to date rather than rebuilt: CloneInto re-copies
+// only the ledger rows that changed since its last fill, and the flags
+// catch up by replaying the flag order from where that fill stopped;
+// scores and pairs are copied whole. The recycled snapshot's refcount is
+// 0 throughout the refill — no reader can pin it — and is set to 1 (the
+// store's own reference) before the swap; the displaced snapshot's store
+// reference is released, so it recycles as soon as its last reader lets
+// go.
 func (s *Store) publish() {
 	sn := s.takeFree()
 	sn.epoch = s.epoch
 	sn.ratings = s.ratings
 	if sn.ledger == nil {
 		sn.ledger = reputation.NewLedger(s.n)
+		sn.flagged = make([]bool, s.n)
+		sn.first = make([]int64, s.n)
 	}
-	s.periodLedger().CloneInto(sn.ledger)
+	s.mRowsCopied.Add(int64(s.periodLedger().CloneInto(sn.ledger)))
+	for _, node := range s.flagOrder[sn.flagsApplied:] {
+		sn.flagged[node] = true
+		sn.first[node] = s.first[node]
+	}
+	s.mFlagsApplied.Add(int64(len(s.flagOrder) - sn.flagsApplied))
+	sn.flagsApplied = len(s.flagOrder)
 	sn.scores = append(sn.scores[:0], s.scores...)
-	sn.flagged = append(sn.flagged[:0], s.flagged...)
-	sn.first = append(sn.first[:0], s.first...)
 	sn.pairs = append(sn.pairs[:0], s.pairs...)
 	sn.refs.Store(1)
 	if old := s.cur.Swap(sn); old != nil {
